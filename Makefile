@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test vet bench bench-all bench-gate race cover report tables figures examples loc validate validate-update serve loadgen serve-smoke drift-drill fleet fleet-smoke replay tenants diurnal
+.PHONY: all test vet bench bench-all bench-gate race cover report tables figures examples loc validate validate-update serve loadgen serve-smoke drift-drill fleet fleet-smoke replay tenants diurnal perfbench-check
 
 all: vet test
 
@@ -14,6 +14,14 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark harness (perfbench/) is its own module, so `go test ./...`
+# at the root never compiles it. Its traced runner calls the simulator's
+# stage functions directly; this catches a stage-signature change before
+# a benchmark run does.
+perfbench-check:
+	cd perfbench && GOWORK=off GOPROXY=off GOFLAGS= $(GO) vet ./... && \
+		GOWORK=off GOPROXY=off GOFLAGS= $(GO) test ./...
 
 # Run the fixed benchmark suite and record BENCH_<date>.json (see
 # DESIGN.md "Performance"). `make bench-gate` additionally fails when

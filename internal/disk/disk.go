@@ -113,10 +113,21 @@ type active struct {
 	xferLeft float64 // seconds of media transfer remaining
 }
 
+// queueKeep is the largest backing array (in requests) a drained queue
+// keeps for reuse. Steady I/O stays well below it, so refilling never
+// allocates; a start-up burst's array, thousands of requests long, is
+// dropped once the burst drains instead of living as long as the node.
+const queueKeep = 256
+
 // Disk is one spindle.
 type Disk struct {
-	rng   *sim.RNG
+	rng *sim.RNG
+	// queue[head:] are the waiting requests, oldest first. Popping
+	// advances head; the consumed prefix is reclaimed when the queue
+	// drains or when Submit would otherwise grow the array, so both ends
+	// cost amortised O(1).
 	queue []Request
+	head  int
 	// cur is the in-flight request; busy says whether it is valid. It is
 	// embedded by value (not a pointer) so the per-request hot path of a
 	// loaded disk allocates nothing.
@@ -146,17 +157,31 @@ func (d *Disk) Submit(r Request) {
 	if r.Bytes <= 0 {
 		return
 	}
+	if d.head > 0 && len(d.queue) == cap(d.queue) && d.head >= len(d.queue)/2 {
+		// Slide the waiting requests down over the consumed prefix
+		// rather than grow: the copy moves at most as many requests as
+		// were popped since the last slide.
+		d.queue = d.queue[:copy(d.queue, d.queue[d.head:])]
+		d.head = 0
+	}
 	d.queue = append(d.queue, r)
 }
 
 // QueueLen returns the number of waiting (not in-flight) requests.
-func (d *Disk) QueueLen() int { return len(d.queue) }
+func (d *Disk) QueueLen() int { return len(d.queue) - d.head }
 
 // start pops the next request and rolls its mechanical delays.
 func (d *Disk) start() {
-	r := d.queue[0]
-	copy(d.queue, d.queue[1:])
-	d.queue = d.queue[:len(d.queue)-1]
+	r := d.queue[d.head]
+	d.head++
+	if d.head == len(d.queue) {
+		d.head = 0
+		if cap(d.queue) > queueKeep {
+			d.queue = nil
+		} else {
+			d.queue = d.queue[:0]
+		}
+	}
 	a := active{req: r, xferLeft: r.Bytes / TransferRate}
 	if r.Sequential {
 		a.seekLeft = trackSeekSec * d.rng.Jitter(1, 0.5)
@@ -187,7 +212,7 @@ func (d *Disk) Step(sliceSec float64) Stats {
 			continue
 		}
 		if d.standby {
-			if len(d.queue) == 0 {
+			if d.QueueLen() == 0 {
 				st.StandbySec += left
 				break
 			}
@@ -198,7 +223,7 @@ func (d *Disk) Step(sliceSec float64) Stats {
 			continue
 		}
 		if !d.busy {
-			if len(d.queue) == 0 {
+			if d.QueueLen() == 0 {
 				if d.policy.SpindownAfterSec > 0 {
 					// Accumulate idleness toward the spindown timeout.
 					budget := d.policy.SpindownAfterSec - d.idleFor
@@ -248,7 +273,7 @@ func (d *Disk) Step(sliceSec float64) Stats {
 			}
 		}
 	}
-	st.QueueLen = len(d.queue)
+	st.QueueLen = d.QueueLen()
 	return st
 }
 

@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"log/slog"
 	"strconv"
@@ -265,20 +266,34 @@ func (r *Runner) Estimator() (*core.Estimator, error) {
 	return r.est, r.estErr
 }
 
+// trainingCorpus is the estimator's training runs and their paper-scale
+// durations, in the order their failures are reported.
+var trainingCorpus = [...]struct {
+	name    string
+	seconds float64
+}{{"gcc", 390}, {"mcf", 600}, {"diskload", 300}}
+
 func (r *Runner) trainEstimator() (*core.Estimator, error) {
 	defer telemetry.StartSpan("experiments.train").End()
-	gcc, err := r.dataset("gcc", r.duration(390), r.opt.TrainSeed)
-	if err != nil {
+	// The corpus runs are independent seeded simulations, so they run
+	// concurrently within the runner's worker bound. They get a pool of
+	// their own: Estimator can first be called from inside an r.p task,
+	// and a nested Run on r.p could deadlock.
+	var ds [len(trainingCorpus)]*align.Dataset
+	var errs [len(trainingCorpus)]error
+	p := pool.New(min(r.p.Workers(), len(trainingCorpus)))
+	if err := p.Run(context.Background(), len(trainingCorpus), func(_ context.Context, i int) error {
+		ds[i], errs[i] = r.dataset(trainingCorpus[i].name, r.duration(trainingCorpus[i].seconds), r.opt.TrainSeed)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	mcf, err := r.dataset("mcf", r.duration(600), r.opt.TrainSeed)
-	if err != nil {
-		return nil, err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	dl, err := r.dataset("diskload", r.duration(300), r.opt.TrainSeed)
-	if err != nil {
-		return nil, err
-	}
+	gcc, mcf, dl := ds[0], ds[1], ds[2]
 	est, err := core.TrainEstimator(core.TrainingSet{
 		CPU: gcc, Memory: mcf, Disk: dl, IO: dl, Chipset: gcc,
 	})

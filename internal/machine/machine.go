@@ -432,7 +432,7 @@ func (s *Server) step(c *sim.Clock) {
 
 	// 1. Thread demand.
 	for i := range s.jobs {
-		j := s.jobs[i]
+		j := &s.jobs[i]
 		if j.gen == nil || now < j.start {
 			s.demands[i] = workload.Demand{}
 			continue
@@ -450,14 +450,15 @@ func (s *Server) step(c *sim.Clock) {
 	var tr mem.Traffic
 	var writeTx, locTx, classTx float64
 	for i, p := range s.procs {
-		st := p.Step(cycles, &s.demands[2*i], &s.demands[2*i+1], s.busUtil)
-		s.lastCPU[i] = st
-		cpuTruth += s.profile.CPU(st)
+		s.lastCPU[i] = p.Step(cycles, &s.demands[2*i], &s.demands[2*i+1], s.busUtil)
+		st := &s.lastCPU[i]
+		cpuTruth += s.profile.CPU(*st)
 		tr.CPUTx += st.DemandBusTx
 		tr.PrefetchTx += st.PrefetchBusTx
-		writeTx += st.TotalBusTx() * st.WriteFrac
-		locTx += st.TotalBusTx() * st.MemLocality
-		classTx += st.TotalBusTx()
+		busTx := st.DemandBusTx + st.PrefetchBusTx // st.TotalBusTx(), once
+		writeTx += busTx * st.WriteFrac
+		locTx += busTx * st.MemLocality
+		classTx += busTx
 	}
 	if classTx > 0 {
 		tr.WriteFrac = writeTx / classTx
@@ -480,8 +481,8 @@ func (s *Server) step(c *sim.Clock) {
 	// models while interrupt counts stay clean (part of why the paper's
 	// selection lands on interrupts for disk and I/O).
 	var demandSum float64
-	for _, st := range s.lastCPU {
-		demandSum += st.DemandBusTx
+	for i := range s.lastCPU {
+		demandSum += s.lastCPU[i].DemandBusTx
 	}
 	for i, p := range s.procs {
 		coherence := snoopShare * (demandSum - s.lastCPU[i].DemandBusTx)
