@@ -124,5 +124,8 @@ tenants:
 diurnal:
 	$(GO) run ./examples/diurnal
 
+# Go line counts: every .go file, and the non-test code outside the
+# benchmark harness (perfbench/) that ROADMAP tracks.
 loc:
-	find . -name '*.go' | xargs wc -l | tail -1
+	@echo "all Go files:               $$(find . -name '*.go' -exec cat {} + | wc -l)"
+	@echo "non-test Go, no perfbench/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' -exec cat {} + | wc -l)"

@@ -28,6 +28,7 @@ import (
 	"trickledown/internal/machine"
 	"trickledown/internal/pool"
 	"trickledown/internal/power"
+	"trickledown/internal/sched"
 	"trickledown/internal/telemetry"
 )
 
@@ -139,9 +140,17 @@ func main() {
 
 	// The survivors still support a consolidation decision.
 	budget := total * 0.85
-	conPlan := cluster.PlanConsolidation(snap, budget)
+	survivors := make([]sched.NodeInfo, len(snap))
+	for i, e := range snap {
+		survivors[i] = sched.NodeInfo{Name: e.Name, Watts: e.Watts, Healthy: true}
+	}
+	conPlan := sched.Plan(survivors, sched.Config{BudgetWatts: budget})
+	evict := make([]string, len(conPlan.Actions))
+	for i, a := range conPlan.Actions {
+		evict[i] = a.Node
+	}
 	fmt.Printf("\nbudget %.0f W: evict %v, projected %.0f W (fits: %v)\n",
-		budget, conPlan.Evict, conPlan.Projected, conPlan.Fits)
+		budget, evict, conPlan.Projected, conPlan.Fits)
 
 	fmt.Printf("\nsurvivors=%d accuracy=%.2f%%\n", cov.Healthy, acc)
 }

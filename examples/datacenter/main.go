@@ -24,6 +24,7 @@ import (
 	"trickledown/internal/cluster"
 	"trickledown/internal/core"
 	"trickledown/internal/machine"
+	"trickledown/internal/sched"
 	"trickledown/internal/telemetry"
 )
 
@@ -120,23 +121,29 @@ func main() {
 	fmt.Printf("sensorless accuracy across the rack: %.2f%%\n\n", acc)
 
 	// Plan against the budget: largest consumers are powered down first,
-	// so the fewest workloads have to move.
-	plan := cluster.PlanConsolidation(snap, rackBudgetWatts)
-	if len(plan.Evict) == 0 {
+	// so the fewest workloads have to move. With no host capacity and no
+	// idle floor in the input, sched.Plan sheds whole nodes until the
+	// budget fits, stopping one node short of emptying the rack.
+	fleet := make([]sched.NodeInfo, len(snap))
+	for i, e := range snap {
+		fleet[i] = sched.NodeInfo{Name: e.Name, Watts: e.Watts, Healthy: true}
+	}
+	plan := sched.Plan(fleet, sched.Config{BudgetWatts: rackBudgetWatts})
+	if len(plan.Actions) == 0 {
 		fmt.Printf("estimated rack draw %.0f W is within the %d W budget; no action\n",
 			total, rackBudgetWatts)
 		return
 	}
 	fmt.Printf("estimated rack draw %.0f W exceeds the %d W budget\n", total, rackBudgetWatts)
-	for _, name := range plan.Evict {
-		fmt.Printf("  -> consolidate %s onto the remaining nodes and power it down\n", name)
+	for _, a := range plan.Actions {
+		fmt.Printf("  -> consolidate %s onto the remaining nodes and power it down\n", a.Node)
 	}
 	fmt.Printf("projected draw after consolidation: %.0f W (fits: %v)\n\n", plan.Projected, plan.Fits)
 
 	// Physically verify the first eviction: co-schedule its workload
 	// next to the busiest survivor's and measure the combined box.
-	evicted := plan.Evict[0]
-	host := busiestSurvivor(snap, plan.Evict)
+	evicted := plan.Actions[0].Node
+	host := busiestSurvivor(snap, plan.Actions)
 	slog.Info("verifying consolidation", "evicted", evicted, "host", host)
 	placements := make([]machine.Placement, 0, 8)
 	for t := 0; t < 4; t++ {
@@ -170,11 +177,11 @@ func main() {
 		separate, separate-combMeas, 100*(separate-combMeas)/separate)
 }
 
-// busiestSurvivor returns the highest-draw node not named in evict.
-func busiestSurvivor(snap []cluster.Estimate, evict []string) string {
+// busiestSurvivor returns the highest-draw node no action powers down.
+func busiestSurvivor(snap []cluster.Estimate, evict []sched.Action) string {
 	gone := map[string]bool{}
-	for _, name := range evict {
-		gone[name] = true
+	for _, a := range evict {
+		gone[a.Node] = true
 	}
 	best, bestW := "", -1.0
 	for _, e := range snap {

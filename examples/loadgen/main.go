@@ -183,7 +183,7 @@ func drive(base string, d time.Duration, clients, batchN, nodes, cpus int, rate,
 					tc := sampler.Mint()
 					ext = perfctr.TraceExt{ID: [16]byte(tc.ID), Sampled: tc.Sampled}
 				}
-				buf, err = perfctr.EncodeBatchExt(buf[:0], node, samples, ext)
+				buf, err = perfctr.EncodeBatchFull(buf[:0], node, samples, ext, nil)
 				if err != nil {
 					log.Fatalf("encode: %v", err)
 				}

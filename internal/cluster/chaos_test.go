@@ -9,6 +9,7 @@ import (
 	"trickledown/internal/faults"
 	"trickledown/internal/pool"
 	"trickledown/internal/power"
+	"trickledown/internal/sched"
 )
 
 // chaosWorkloads gives the 16-node drill a heterogeneous mix.
@@ -122,9 +123,13 @@ func TestClusterSurvivesChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := PlanConsolidation(snap, total*0.8)
-	if !plan.Fits || len(plan.Evict) == 0 {
-		t.Errorf("consolidation over survivors = %+v", plan)
+	fleet := make([]sched.NodeInfo, len(snap))
+	for i, e := range snap {
+		fleet[i] = sched.NodeInfo{Name: e.Name, Watts: e.Watts, Healthy: true}
+	}
+	d := sched.Plan(fleet, sched.Config{BudgetWatts: total * 0.8})
+	if !d.Fits || len(d.Actions) == 0 {
+		t.Errorf("consolidation over survivors = %+v", d)
 	}
 }
 

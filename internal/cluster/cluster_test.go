@@ -138,89 +138,6 @@ func TestClusterErrors(t *testing.T) {
 	}
 }
 
-func TestPlanConsolidation(t *testing.T) {
-	est := []Estimate{
-		{Name: "a", Watts: 250},
-		{Name: "b", Watts: 150},
-		{Name: "c", Watts: 140},
-		{Name: "d", Watts: 260},
-	}
-	// Fits already: no eviction.
-	p := PlanConsolidation(est, 1000)
-	if !p.Fits || len(p.Evict) != 0 {
-		t.Errorf("plan = %+v", p)
-	}
-	// Largest consumers go first: d (260) then a (250).
-	p = PlanConsolidation(est, 520)
-	if !p.Fits {
-		t.Fatalf("plan = %+v", p)
-	}
-	if len(p.Evict) != 2 || p.Evict[0] != "d" || p.Evict[1] != "a" {
-		t.Errorf("evictions = %v", p.Evict)
-	}
-	if math.Abs(p.Projected-290) > 1e-9 {
-		t.Errorf("projected = %v", p.Projected)
-	}
-	// Impossible budget: keeps the last node and reports Fits=false.
-	p = PlanConsolidation(est, 10)
-	if p.Fits {
-		t.Error("impossible budget reported as fitting")
-	}
-	if len(p.Evict) != len(est)-1 {
-		t.Errorf("evictions = %v", p.Evict)
-	}
-	// Empty cluster fits trivially.
-	p = PlanConsolidation(nil, 10)
-	if !p.Fits || p.Projected != 0 {
-		t.Errorf("empty plan = %+v", p)
-	}
-}
-
-// TestPlanConsolidationFewestEvictions is the regression test for the
-// eviction policy: evicting the largest consumer first reaches the
-// budget with fewer powered-down nodes than any cheapest-first plan,
-// while the never-evict-the-last-node invariant holds.
-func TestPlanConsolidationFewestEvictions(t *testing.T) {
-	est := []Estimate{
-		{Name: "a", Watts: 250},
-		{Name: "b", Watts: 150},
-		{Name: "c", Watts: 140},
-		{Name: "d", Watts: 260},
-	}
-	// Budget 550 from a total of 800: one largest eviction (d, 260)
-	// suffices; cheapest-first would have powered down two nodes
-	// (c then b) to shed the same 250+ Watts.
-	p := PlanConsolidation(est, 550)
-	if !p.Fits {
-		t.Fatalf("plan = %+v", p)
-	}
-	if len(p.Evict) != 1 || p.Evict[0] != "d" {
-		t.Errorf("evictions = %v, want exactly [d]", p.Evict)
-	}
-	if math.Abs(p.Projected-540) > 1e-9 {
-		t.Errorf("projected = %v", p.Projected)
-	}
-	// Every infeasible budget stops one node short of emptying the
-	// cluster, and the survivor is the smallest consumer.
-	for _, budget := range []float64{0, 10, 100} {
-		p := PlanConsolidation(est, budget)
-		if p.Fits {
-			t.Errorf("budget %v reported as fitting", budget)
-		}
-		if len(p.Evict) != len(est)-1 {
-			t.Errorf("budget %v: evicted %d nodes, want %d", budget, len(p.Evict), len(est)-1)
-		}
-		for _, name := range p.Evict {
-			if name == "c" {
-				t.Errorf("budget %v: evicted the smallest consumer %q before the rest", budget, name)
-			}
-		}
-		if math.Abs(p.Projected-140) > 1e-9 {
-			t.Errorf("budget %v: projected = %v, want the last node's 140", budget, p.Projected)
-		}
-	}
-}
-
 // buildTestCluster assembles a small heterogeneous cluster with fixed
 // seeds and the given worker bound.
 func buildTestCluster(t *testing.T, workers int) *Cluster {

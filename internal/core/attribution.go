@@ -37,33 +37,42 @@ func (e *Estimator) PerThreadPower(s *perfctr.Sample, threadsPerCPU int) []float
 	if cm == nil || len(cm.Coef) < 1 {
 		return nil
 	}
-	floor := cm.Coef[0] // per-processor infrastructure (halted floor)
+	idle := cm.Coef[0] // per-processor infrastructure (halted floor)
 	out := make([]float64, want)
 	for cpuID := 0; cpuID < m.NumCPUs; cpuID++ {
-		var busySum float64
 		base := cpuID * threadsPerCPU
-		for t := 0; t < threadsPerCPU; t++ {
-			busySum += s.OSThreadBusySec[base+t]
-		}
-		dynamic := perCPU[cpuID] - floor
-		if dynamic < 0 {
-			dynamic = 0
-		}
-		for t := 0; t < threadsPerCPU; t++ {
-			share := 1.0 / float64(threadsPerCPU)
-			if busySum > 0 {
-				share = s.OSThreadBusySec[base+t] / busySum
-			}
-			out[base+t] = floor/float64(threadsPerCPU) + dynamic*share
-		}
-		// Reconcile rounding so the processor total is exact.
-		var sum float64
-		for t := 0; t < threadsPerCPU; t++ {
-			sum += out[base+t]
-		}
-		if diff := perCPU[cpuID] - sum; diff != 0 {
-			out[base] += diff
-		}
+		splitPower(out[base:base+threadsPerCPU], perCPU[cpuID], idle,
+			s.OSThreadBusySec[base:base+threadsPerCPU])
 	}
 	return out
+}
+
+// splitPower divides total among len(out) parties, the split both
+// per-thread and per-tenant attribution use: the idle floor is shared
+// evenly, the dynamic part total−idle goes by each party's share of
+// weights (evenly when no party has weight), and the rounding residue
+// goes to party 0 so out sums to total exactly. A total below the idle
+// floor has no dynamic part and is shared evenly.
+func splitPower(out []float64, total, idle float64, weights []float64) {
+	floor, dyn := idle, total-idle
+	if dyn < 0 {
+		floor, dyn = total, 0
+	}
+	n := float64(len(out))
+	var denom float64
+	for _, w := range weights {
+		denom += w
+	}
+	var sum float64
+	for i := range out {
+		share := 1 / n
+		if denom > 0 {
+			share = weights[i] / denom
+		}
+		out[i] = floor/n + dyn*share
+		sum += out[i]
+	}
+	if diff := total - sum; diff != 0 {
+		out[0] += diff
+	}
 }

@@ -83,9 +83,6 @@ func (f *OnlineFitter) Spec() ModelSpec { return f.spec }
 // Len returns the number of observations currently in the window.
 func (f *OnlineFitter) Len() int { return f.n }
 
-// Cap returns the window capacity.
-func (f *OnlineFitter) Cap() int { return f.size }
-
 // Seen returns how many observations were accepted over the fitter's
 // lifetime (quarantined ones excluded).
 func (f *OnlineFitter) Seen() uint64 { return f.seen }

@@ -70,28 +70,14 @@ func AttributeTenants(total, idle power.Reading, tenants []TenantActivity) ([]po
 		}
 	}
 	out := make([]power.Reading, n)
+	part, weights := make([]float64, n), make([]float64, n)
 	for s := 0; s < power.NumSubsystems; s++ {
-		dyn := total[s] - idle[s]
-		if dyn < 0 {
-			dyn = 0
-		}
-		floor := total[s] - dyn
-		var denom float64
-		for _, tn := range tenants {
-			denom += tn.Driving[s]
-		}
-		var sum float64
 		for i := range tenants {
-			share := 1 / float64(n)
-			if denom > 0 {
-				share = tenants[i].Driving[s] / denom
-			}
-			out[i][s] = floor/float64(n) + dyn*share
-			sum += out[i][s]
+			weights[i] = tenants[i].Driving[s]
 		}
-		// Reconcile float rounding so the node total is exact.
-		if diff := total[s] - sum; diff != 0 {
-			out[0][s] += diff
+		splitPower(part, total[s], idle[s], weights)
+		for i := range out {
+			out[i][s] = part[i]
 		}
 	}
 	return out, nil
@@ -117,9 +103,8 @@ func CheckAttribution(total, idle power.Reading, tenants []TenantActivity) error
 		for i := range base {
 			sum += base[i][s]
 		}
-		tol := 1e-9 * math.Max(1, math.Abs(total[s]))
-		if math.Abs(sum-total[s]) > tol {
-			return fmt.Errorf("core: attribution of %s sums to %.12f, node reads %.12f", power.Subsystem(s), sum, total[s])
+		if err := checkConserved(power.Subsystem(s).String(), sum, total[s]); err != nil {
+			return err
 		}
 	}
 	// 2: monotonicity in own demand.
@@ -150,6 +135,16 @@ func CheckAttribution(total, idle power.Reading, tenants []TenantActivity) error
 			return fmt.Errorf("core: single-tenant attribution of %s is %.12f, node reads %.12f",
 				power.Subsystem(s), solo[0][s], total[s])
 		}
+	}
+	return nil
+}
+
+// checkConserved reports whether attributed parts summing to sum
+// conserve total, within 1e-9 relative to total's scale: CheckAttribution's
+// conservation property, shared with per-thread attribution's tests.
+func checkConserved(what string, sum, total float64) error {
+	if math.Abs(sum-total) > 1e-9*math.Max(1, math.Abs(total)) {
+		return fmt.Errorf("core: attribution of %s sums to %.12f, node reads %.12f", what, sum, total)
 	}
 	return nil
 }

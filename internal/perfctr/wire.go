@@ -101,17 +101,12 @@ func EncodeBatch(buf []byte, node string, samples []Sample) ([]byte, error) {
 	return buf, nil
 }
 
-// EncodeBatchExt encodes like EncodeBatch and, when ext carries a
-// non-zero trace ID, appends the TDX1 trace-context extension. A zero
-// ext produces output byte-identical to EncodeBatch, so callers can
-// thread the extension unconditionally.
-func EncodeBatchExt(buf []byte, node string, samples []Sample, ext TraceExt) ([]byte, error) {
-	return EncodeBatchFull(buf, node, samples, ext, nil)
-}
-
-// EncodeBatchFull encodes like EncodeBatchExt and, when rails is
-// non-nil, appends the TDP1 measured-rails extension. rails must carry
-// exactly one Reading per sample.
+// EncodeBatchFull encodes like EncodeBatch plus the optional trailing
+// extensions: the TDX1 trace context when ext carries a non-zero trace
+// ID, and the TDP1 measured rails when rails is non-nil (exactly one
+// Reading per sample). A zero ext and nil rails produce output
+// byte-identical to EncodeBatch, so callers can thread both
+// unconditionally.
 func EncodeBatchFull(buf []byte, node string, samples []Sample, ext TraceExt, rails []power.Reading) ([]byte, error) {
 	if rails != nil && len(rails) != len(samples) {
 		return nil, fmt.Errorf("perfctr: %d rails readings for %d samples", len(rails), len(samples))
@@ -242,31 +237,15 @@ func (r *wireReader) f64() (float64, error) {
 	return math.Float64frombits(v), err
 }
 
-// DecodeBatch parses one wire batch, returning the node name and its
-// samples. A trailing TDX1 trace-context extension is accepted and
-// discarded; callers that want it use DecodeBatchExt.
-func DecodeBatch(buf []byte) (node string, samples []Sample, err error) {
-	node, samples, _, err = DecodeBatchExt(buf)
-	return node, samples, err
-}
-
-// DecodeBatchExt parses one wire batch plus its optional TDX1
-// trace-context extension (ext is zero when absent); a trailing TDP1
-// rails extension is accepted and discarded. Callers that want the
-// rails use DecodeBatchFull.
-func DecodeBatchExt(buf []byte) (node string, samples []Sample, ext TraceExt, err error) {
-	node, samples, ext, _, err = DecodeBatchFull(buf)
-	return node, samples, ext, err
-}
-
-// DecodeBatchFull parses one wire batch plus every optional trailing
-// extension: the TDX1 trace context (ext is zero when absent) and the
-// TDP1 measured rails (rails is nil when absent). Every length prefix
-// is validated against both the wire limits and the bytes actually
-// present before allocation, and the per-sample timestamps must be
-// finite (a NaN interval would poison the per-cycle normalization
-// downstream). Trailing bytes that are not a well-formed extension are
-// rejected: a length mismatch means a framing bug, not data.
+// DecodeBatchFull parses one wire batch, the node name and its samples,
+// plus every optional trailing extension: the TDX1 trace context (ext
+// is zero when absent) and the TDP1 measured rails (rails is nil when
+// absent). Every length prefix is validated against both the wire
+// limits and the bytes actually present before allocation, and the
+// per-sample timestamps must be finite (a NaN interval would poison the
+// per-cycle normalization downstream). Trailing bytes that are not a
+// well-formed extension are rejected: a length mismatch means a framing
+// bug, not data.
 func DecodeBatchFull(buf []byte) (node string, samples []Sample, ext TraceExt, rails []power.Reading, err error) {
 	r := &wireReader{buf: buf}
 	if err := r.need(4); err != nil {

@@ -39,7 +39,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, out, err := DecodeBatch(buf)
+	node, out, _, _, err := DecodeBatchFull(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestWireDecodeRejectsCorruption(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.mut(append([]byte(nil), good...))
-			if _, _, err := DecodeBatch(b); err == nil {
+			if _, _, _, _, err := DecodeBatchFull(b); err == nil {
 				t.Errorf("corrupt batch decoded without error")
 			}
 		})
@@ -140,7 +140,7 @@ func TestWireDecodeRejectsNonFiniteTimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecodeBatch(buf); err == nil || !strings.Contains(err.Error(), "non-finite") {
+	if _, _, _, _, err := DecodeBatchFull(buf); err == nil || !strings.Contains(err.Error(), "non-finite") {
 		t.Errorf("NaN interval decoded without error (err=%v)", err)
 	}
 }
@@ -165,7 +165,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(good[:12])
 	f.Add([]byte("TDS1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		node, samples, err := DecodeBatch(data)
+		node, samples, ext, rails, err := DecodeBatchFull(data)
 		if err != nil {
 			return
 		}
@@ -173,11 +173,11 @@ func FuzzDecodeBatch(f *testing.F) {
 			t.Fatalf("decoder exceeded wire limits: node=%d samples=%d", len(node), len(samples))
 		}
 		// Whatever decodes must re-encode and decode identically.
-		re, err := EncodeBatch(nil, node, samples)
+		re, err := EncodeBatchFull(nil, node, samples, ext, rails)
 		if err != nil {
 			t.Fatalf("re-encode of decoded batch failed: %v", err)
 		}
-		if _, _, err := DecodeBatch(re); err != nil {
+		if _, _, _, _, err := DecodeBatchFull(re); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
 	})
@@ -214,7 +214,7 @@ func BenchmarkWireDecodeBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(int64(len(buf)))
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeBatch(buf); err != nil {
+		if _, _, _, _, err := DecodeBatchFull(buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -226,11 +226,11 @@ func TestWireTraceExtRoundTrip(t *testing.T) {
 	for i := range ext.ID {
 		ext.ID[i] = byte(i + 1)
 	}
-	buf, err := EncodeBatchExt(nil, "node07", in, ext)
+	buf, err := EncodeBatchFull(nil, "node07", in, ext, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, out, got, err := DecodeBatchExt(buf)
+	node, out, got, _, err := DecodeBatchFull(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,18 +241,13 @@ func TestWireTraceExtRoundTrip(t *testing.T) {
 		t.Errorf("ext round-trip = %+v, want %+v", got, ext)
 	}
 
-	// The plain decoder accepts the extended batch and discards the ext.
-	if _, _, err := DecodeBatch(buf); err != nil {
-		t.Errorf("DecodeBatch on extended batch: %v", err)
-	}
-
 	// Unsampled flag round-trips too.
 	ext.Sampled = false
-	buf, err = EncodeBatchExt(nil, "n", in[:1], ext)
+	buf, err = EncodeBatchFull(nil, "n", in[:1], ext, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, got, err = DecodeBatchExt(buf); err != nil || got.Sampled || got.ID != ext.ID {
+	if _, _, got, _, err = DecodeBatchFull(buf); err != nil || got.Sampled || got.ID != ext.ID {
 		t.Errorf("unsampled ext = %+v err=%v", got, err)
 	}
 }
@@ -263,21 +258,21 @@ func TestWireTraceExtZeroIsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	extd, err := EncodeBatchExt(nil, "n", in, TraceExt{})
+	extd, err := EncodeBatchFull(nil, "n", in, TraceExt{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(plain, extd) {
 		t.Error("zero TraceExt changed the encoding")
 	}
-	if _, _, ext, err := DecodeBatchExt(plain); err != nil || !ext.IsZero() {
+	if _, _, ext, _, err := DecodeBatchFull(plain); err != nil || !ext.IsZero() {
 		t.Errorf("ext on plain batch = %+v err=%v, want zero", ext, err)
 	}
 }
 
 func TestWireTraceExtRejectsMalformed(t *testing.T) {
 	in := wireTestSamples()[:1]
-	good, err := EncodeBatchExt(nil, "n", in, TraceExt{ID: [16]byte{1}, Sampled: true})
+	good, err := EncodeBatchFull(nil, "n", in, TraceExt{ID: [16]byte{1}, Sampled: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,11 +285,8 @@ func TestWireTraceExtRejectsMalformed(t *testing.T) {
 	cases["bad ext magic"][len(good)-extLen] = 'X'
 	cases["unknown ext flags"][len(good)-extLen+4] = 0x80
 	for name, buf := range cases {
-		if _, _, _, err := DecodeBatchExt(buf); err == nil {
+		if _, _, _, _, err := DecodeBatchFull(buf); err == nil {
 			t.Errorf("%s: decode accepted malformed extension", name)
-		}
-		if _, _, err := DecodeBatch(buf); err == nil {
-			t.Errorf("%s: plain decode accepted malformed extension", name)
 		}
 	}
 }
@@ -336,10 +328,6 @@ func TestWireRailsRoundTrip(t *testing.T) {
 	}
 	if !gotExt.IsZero() || !reflect.DeepEqual(gotRails, rails) {
 		t.Errorf("rails-only decode: ext=%+v rails=%+v", gotExt, gotRails)
-	}
-	// Pre-rails decoders tolerate the block (and discard it).
-	if _, _, _, err := DecodeBatchExt(buf); err != nil {
-		t.Errorf("DecodeBatchExt on rails batch: %v", err)
 	}
 	// No extensions at all stays byte-identical to EncodeBatch.
 	plain, err := EncodeBatchFull(nil, "n", in, TraceExt{}, nil)

@@ -1,10 +1,10 @@
 // Package regress implements the small amount of numerical machinery the
 // paper's methodology needs: ordinary least squares fitted through normal
-// equations, plus helpers for the polynomial and multivariate-quadratic
-// design matrices used by the subsystem power models ("we initially
-// attempt regression curve fitting using linear models; if it is not
-// possible to obtain high accuracy with a linear model, we select single
-// or multiple input quadratics").
+// equations, plus prediction. The polynomial and multivariate-quadratic
+// design rows the subsystem power models use ("we initially attempt
+// regression curve fitting using linear models; if it is not possible to
+// obtain high accuracy with a linear model, we select single or multiple
+// input quadratics") are built by core.ModelSpec.Design.
 package regress
 
 import (
@@ -44,7 +44,7 @@ func (f *Fit) String() string {
 
 // OLS solves min ||X·b - y||² by normal equations. X is row-major: X[i]
 // is observation i. Every row must have the same width. An intercept, if
-// wanted, must be an explicit all-ones column (see WithIntercept).
+// wanted, must be an explicit all-ones column.
 func OLS(x [][]float64, y []float64) (*Fit, error) {
 	n := len(x)
 	if n == 0 || n != len(y) {
@@ -233,86 +233,6 @@ func solve(a [][]float64, b []float64) ([]float64, error) {
 		x[col] = s / a[col][col]
 	}
 	return x, nil
-}
-
-// WithIntercept prepends an all-ones column to each row of x, returning a
-// new design matrix. The original rows are not modified.
-func WithIntercept(x [][]float64) [][]float64 {
-	out := make([][]float64, len(x))
-	for i, row := range x {
-		r := make([]float64, 1+len(row))
-		r[0] = 1
-		copy(r[1:], row)
-		out[i] = r
-	}
-	return out
-}
-
-// PolyDesign builds the design matrix for a single-input polynomial of
-// the given degree, with intercept: row i = [1, v, v², … v^degree].
-func PolyDesign(v []float64, degree int) [][]float64 {
-	out := make([][]float64, len(v))
-	for i, x := range v {
-		row := make([]float64, degree+1)
-		row[0] = 1
-		p := 1.0
-		for d := 1; d <= degree; d++ {
-			p *= x
-			row[d] = p
-		}
-		out[i] = row
-	}
-	return out
-}
-
-// QuadDesign builds the design matrix for independent quadratics in each
-// input (no cross terms, matching the paper's Eq. 4 form): row i =
-// [1, a, a², b, b², …].
-func QuadDesign(inputs ...[]float64) ([][]float64, error) {
-	if len(inputs) == 0 {
-		return nil, ErrDimension
-	}
-	n := len(inputs[0])
-	for _, in := range inputs {
-		if len(in) != n {
-			return nil, ErrDimension
-		}
-	}
-	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		row := make([]float64, 1+2*len(inputs))
-		row[0] = 1
-		for j, in := range inputs {
-			row[1+2*j] = in[i]
-			row[2+2*j] = in[i] * in[i]
-		}
-		out[i] = row
-	}
-	return out, nil
-}
-
-// LinearDesign builds the design matrix for a multi-input linear model
-// with intercept: row i = [1, a, b, …].
-func LinearDesign(inputs ...[]float64) ([][]float64, error) {
-	if len(inputs) == 0 {
-		return nil, ErrDimension
-	}
-	n := len(inputs[0])
-	for _, in := range inputs {
-		if len(in) != n {
-			return nil, ErrDimension
-		}
-	}
-	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		row := make([]float64, 1+len(inputs))
-		row[0] = 1
-		for j, in := range inputs {
-			row[1+j] = in[i]
-		}
-		out[i] = row
-	}
-	return out, nil
 }
 
 // Predict evaluates a fitted model on one design row.

@@ -69,7 +69,11 @@ func TestOLSQuadraticRecovery(t *testing.T) {
 		v[i] = r.Float64() * 4
 		y[i] = 28 + 3.4*v[i] + 7.7*v[i]*v[i] + r.Norm(0, 0.1)
 	}
-	f, err := OLS(PolyDesign(v, 2), y)
+	x := make([][]float64, n)
+	for i, vi := range v {
+		x[i] = []float64{1, vi, vi * vi}
+	}
+	f, err := OLS(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,9 +93,9 @@ func TestOLSMultiQuadRecovery(t *testing.T) {
 		b[i] = r.Float64() * 3
 		y[i] = 21.6 + 10*a[i] - 1.1*a[i]*a[i] + 9.2*b[i] - 4.5*b[i]*b[i] + r.Norm(0, 0.05)
 	}
-	x, err := QuadDesign(a, b)
-	if err != nil {
-		t.Fatal(err)
+	x := make([][]float64, n)
+	for i := range x {
+		x[i] = []float64{1, a[i], a[i] * a[i], b[i], b[i] * b[i]}
 	}
 	f, err := OLS(x, y)
 	if err != nil {
@@ -142,72 +146,6 @@ func TestOLSConstantResponse(t *testing.T) {
 	}
 	approx(t, f.Coef[0], 19.9, 1e-9, "constant")
 	approx(t, f.R2, 0, 1e-12, "R2 of zero-variance response")
-}
-
-func TestWithIntercept(t *testing.T) {
-	x := [][]float64{{2, 3}, {4, 5}}
-	out := WithIntercept(x)
-	if out[0][0] != 1 || out[0][1] != 2 || out[0][2] != 3 {
-		t.Errorf("row 0 = %v", out[0])
-	}
-	if out[1][0] != 1 || out[1][1] != 4 || out[1][2] != 5 {
-		t.Errorf("row 1 = %v", out[1])
-	}
-	// Original must be untouched.
-	if len(x[0]) != 2 {
-		t.Error("WithIntercept modified its input")
-	}
-}
-
-func TestPolyDesign(t *testing.T) {
-	d := PolyDesign([]float64{2}, 3)
-	want := []float64{1, 2, 4, 8}
-	for i, w := range want {
-		if d[0][i] != w {
-			t.Errorf("PolyDesign row = %v, want %v", d[0], want)
-			break
-		}
-	}
-}
-
-func TestQuadDesignShapeAndErrors(t *testing.T) {
-	d, err := QuadDesign([]float64{3}, []float64{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 3, 9, 5, 25}
-	for i, w := range want {
-		if d[0][i] != w {
-			t.Errorf("QuadDesign row = %v, want %v", d[0], want)
-			break
-		}
-	}
-	if _, err := QuadDesign(); !errors.Is(err, ErrDimension) {
-		t.Error("QuadDesign() with no inputs must fail")
-	}
-	if _, err := QuadDesign([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrDimension) {
-		t.Error("QuadDesign with ragged inputs must fail")
-	}
-}
-
-func TestLinearDesignShapeAndErrors(t *testing.T) {
-	d, err := LinearDesign([]float64{3}, []float64{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 3, 5}
-	for i, w := range want {
-		if d[0][i] != w {
-			t.Errorf("LinearDesign row = %v, want %v", d[0], want)
-			break
-		}
-	}
-	if _, err := LinearDesign(); !errors.Is(err, ErrDimension) {
-		t.Error("LinearDesign() with no inputs must fail")
-	}
-	if _, err := LinearDesign([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrDimension) {
-		t.Error("LinearDesign with ragged inputs must fail")
-	}
 }
 
 func TestPredict(t *testing.T) {

@@ -2,8 +2,7 @@
 // ensemble-management motivation asks for: each simulated interval it
 // turns the trickle-down estimator's fleet snapshot — and nothing else;
 // measured rails are never an input — into placement and eviction
-// decisions. It grows cluster.PlanConsolidation (a one-shot largest-
-// first eviction sort) into a real scheduler:
+// decisions. It is the repo's one planner:
 //
 //   - Budget enforcement: when the fleet's estimated draw exceeds the
 //     budget, load is shed largest-consumer-first until it fits.
@@ -20,6 +19,12 @@
 //   - Quarantine awareness: an unhealthy node (cluster quarantine,
 //     ErrNodeFailed) has unknown draw — it is neither a migration source
 //     nor a host, and it counts toward nothing.
+//
+// A one-shot budget decision (examples/datacenter, examples/chaos) is
+// the degenerate input: every node healthy with zero capacity and zero
+// idle floor. No survivor can host, so phase 1 sheds whole nodes
+// largest-first until the budget fits or one node is left, and phase 2
+// stops at once.
 //
 // Every choice breaks ties toward the earlier node in fleet insertion
 // order, so a decision is a pure deterministic function of the input
@@ -188,8 +193,8 @@ func Plan(fleet []NodeInfo, cfg Config) Decision {
 	var d Decision
 	hasBudget := cfg.BudgetWatts > 0
 
-	// Phase 1 — budget enforcement, largest consumer first (the
-	// PlanConsolidation heritage: fewest evictions shed the most Watts).
+	// Phase 1 — budget enforcement, largest consumer first (fewest
+	// evictions shed the most Watts).
 	// Each eviction first tries to migrate (sheds only the idle floor but
 	// loses no work), and shed-unplaced is the last resort.
 	if hasBudget {

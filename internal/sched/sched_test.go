@@ -251,3 +251,116 @@ func TestPlanShedWhenNothingFits(t *testing.T) {
 		t.Errorf("decision = %+v", d)
 	}
 }
+
+// budgetFleet is the fleet a one-shot budget decision passes: every
+// node healthy with zero capacity and zero idle floor. No survivor can
+// host, so phase 1 sheds whole nodes largest-first, and phase 2 stops at
+// once.
+func budgetFleet() []NodeInfo {
+	return []NodeInfo{
+		{Name: "a", Watts: 250, Healthy: true},
+		{Name: "b", Watts: 150, Healthy: true},
+		{Name: "c", Watts: 140, Healthy: true},
+		{Name: "d", Watts: 260, Healthy: true},
+	}
+}
+
+// shedNames returns the evicted nodes in decision order, checking that
+// every action is a budget shed of the node's whole draw.
+func shedNames(t *testing.T, fleet []NodeInfo, d Decision) []string {
+	t.Helper()
+	var names []string
+	for _, a := range d.Actions {
+		if a.Host != "" || a.Reason != "budget" {
+			t.Errorf("action %+v, want a budget shed", a)
+		}
+		for _, n := range fleet {
+			if n.Name == a.Node && a.DeltaWatts != n.Watts {
+				t.Errorf("action %+v sheds %v W, want the node's %v W", a, a.DeltaWatts, n.Watts)
+			}
+		}
+		names = append(names, a.Node)
+	}
+	return names
+}
+
+// TestPlanBudgetOnlyShedsLargestFirst: a fleet that fits needs no
+// action, the largest consumers go first, and an impossible budget keeps
+// the last node and reports Fits=false. The empty fleet is
+// TestPlanEmptyFleet.
+func TestPlanBudgetOnlyShedsLargestFirst(t *testing.T) {
+	fleet := budgetFleet()
+	d := Plan(fleet, Config{BudgetWatts: 1000})
+	if !d.Fits || len(d.Actions) != 0 || d.Projected != 800 {
+		t.Errorf("decision = %+v", d)
+	}
+	// Largest consumers go first: d (260) then a (250).
+	d = Plan(fleet, Config{BudgetWatts: 520})
+	if !d.Fits {
+		t.Fatalf("decision = %+v", d)
+	}
+	if got := shedNames(t, fleet, d); !reflect.DeepEqual(got, []string{"d", "a"}) {
+		t.Errorf("evictions = %v", got)
+	}
+	if math.Abs(d.Projected-290) > 1e-9 {
+		t.Errorf("projected = %v", d.Projected)
+	}
+	d = Plan(fleet, Config{BudgetWatts: 10})
+	if d.Fits {
+		t.Error("impossible budget reported as fitting")
+	}
+	if got := shedNames(t, fleet, d); len(got) != len(fleet)-1 {
+		t.Errorf("evictions = %v", got)
+	}
+	// Equal draws: the earlier node goes first.
+	tied := []NodeInfo{{Name: "x", Watts: 100, Healthy: true}, {Name: "y", Watts: 100, Healthy: true}}
+	d = Plan(tied, Config{BudgetWatts: 150})
+	if got := shedNames(t, tied, d); !reflect.DeepEqual(got, []string{"x"}) {
+		t.Errorf("tie evictions = %v, want [x]", got)
+	}
+}
+
+// TestPlanBudgetOnlyFewestEvictions: evicting the largest consumer first
+// reaches the budget with fewer powered-down nodes than any
+// cheapest-first plan, while the never-evict-the-last-node invariant
+// holds.
+func TestPlanBudgetOnlyFewestEvictions(t *testing.T) {
+	fleet := budgetFleet()
+	// Budget 550 from a total of 800: one largest eviction (d, 260)
+	// suffices; cheapest-first would have powered down two nodes
+	// (c then b) to shed the same 250+ Watts.
+	d := Plan(fleet, Config{BudgetWatts: 550})
+	if !d.Fits {
+		t.Fatalf("decision = %+v", d)
+	}
+	if got := shedNames(t, fleet, d); !reflect.DeepEqual(got, []string{"d"}) {
+		t.Errorf("evictions = %v, want exactly [d]", got)
+	}
+	if math.Abs(d.Projected-540) > 1e-9 {
+		t.Errorf("projected = %v", d.Projected)
+	}
+	// Every infeasible budget stops one node short of emptying the
+	// fleet, and the survivor is the smallest consumer.
+	for _, budget := range []float64{10, 100} {
+		d := Plan(fleet, Config{BudgetWatts: budget})
+		if d.Fits {
+			t.Errorf("budget %v reported as fitting", budget)
+		}
+		got := shedNames(t, fleet, d)
+		if len(got) != len(fleet)-1 {
+			t.Errorf("budget %v: evicted %d nodes, want %d", budget, len(got), len(fleet)-1)
+		}
+		for _, name := range got {
+			if name == "c" {
+				t.Errorf("budget %v: evicted the smallest consumer %q before the rest", budget, name)
+			}
+		}
+		if math.Abs(d.Projected-140) > 1e-9 {
+			t.Errorf("budget %v: projected = %v, want the last node's 140", budget, d.Projected)
+		}
+	}
+	// A zero budget means no budget: nothing is shed.
+	if d := Plan(fleet, Config{}); len(d.Actions) != 0 || !d.Fits {
+		t.Errorf("zero budget decision = %+v", d)
+	}
+}

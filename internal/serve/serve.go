@@ -312,9 +312,6 @@ func (s *Server) SetAdapter(m *adapt.Manager) {
 	s.SwapEstimator(m.Champion())
 }
 
-// Adapter returns the installed self-healing manager, or nil.
-func (s *Server) Adapter() *adapt.Manager { return s.adapter.Load() }
-
 // Tracer exposes the server's trace recorder (the /debug/tracez data
 // source) for CLIs and tests.
 func (s *Server) Tracer() *tracez.Recorder { return s.rec }
@@ -413,31 +410,31 @@ func (s *Server) faultInjector() perfctr.FaultInjector {
 // returns nil when the batch is queued (ARRIVED→QUEUED), or one of
 // ErrBatchTooLarge, ErrRateLimited, ErrQueueFull, ErrClosed. The samples
 // slice is owned by the server after a nil return. A trace context is
-// minted locally; producers that stamped their own use IngestTraced.
+// minted locally; producers that stamped their own, or that ship
+// measured rails, use IngestFull.
 func (s *Server) Ingest(client, node string, samples []perfctr.Sample) error {
-	return s.IngestTraced(client, node, samples, s.rec.Mint())
+	return s.IngestFull(client, node, samples, nil, tracez.Context{})
 }
 
-// IngestTraced is Ingest with an explicit trace context — the wire path,
-// where the producer minted the ID and made the sampling decision so
-// client and server views of one batch share an identity. Rejections
-// (shed, rate-limit) are recorded as always-kept anomaly traces even
-// when tc is unsampled; admitted unsampled batches record nothing and
-// allocate nothing beyond the batch itself.
-func (s *Server) IngestTraced(client, node string, samples []perfctr.Sample, tc tracez.Context) error {
-	return s.IngestFull(client, node, samples, nil, tc)
-}
-
-// IngestFull is IngestTraced with per-sample measured rails riding
-// along (the TDP1 wire extension). When an adapter is installed the
-// rails become drift-detection ground truth; without one they are
-// ignored. rails must be nil or exactly one Reading per sample.
+// IngestFull is Ingest with the wire path's optional extensions. tc is
+// the producer's trace context (TDX1): the producer minted the ID and
+// made the sampling decision, so client and server views of one batch
+// share an identity; a zero ID gets a server-minted context instead.
+// Rejections (shed, rate-limit) are recorded as always-kept anomaly
+// traces even when tc is unsampled; admitted unsampled batches record
+// nothing and allocate nothing beyond the batch itself. rails are
+// per-sample measured rails (TDP1): when an adapter is installed they
+// become drift-detection ground truth; without one they are ignored.
+// rails must be nil or exactly one Reading per sample.
 func (s *Server) IngestFull(client, node string, samples []perfctr.Sample, rails []power.Reading, tc tracez.Context) error {
 	if len(samples) == 0 {
 		return nil
 	}
 	if rails != nil && len(rails) != len(samples) {
 		return fmt.Errorf("serve: %d rails for %d samples", len(rails), len(samples))
+	}
+	if tc.ID.IsZero() {
+		tc = s.rec.Mint()
 	}
 	arrived := time.Now()
 	n := uint64(len(samples))

@@ -43,8 +43,8 @@ func TestSampledTraceRecordsFullJourney(t *testing.T) {
 	if !tc.Sampled {
 		t.Fatal("rate-1 mint not sampled")
 	}
-	if err := s.IngestTraced("c1", "node-a", mkBatch(4, 2, 100), tc); err != nil {
-		t.Fatalf("IngestTraced: %v", err)
+	if err := s.IngestFull("c1", "node-a", mkBatch(4, 2, 100), nil, tc); err != nil {
+		t.Fatalf("IngestFull: %v", err)
 	}
 	snap := drainTraces(t, s.Tracer(), 1)
 	if len(snap.Recent) != 1 {
@@ -86,8 +86,8 @@ func TestHTTPTracezEndpoint(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	buf, err := perfctr.EncodeBatchExt(nil, "node-h", mkBatch(3, 1, 50),
-		perfctr.TraceExt{ID: [16]byte(tracez.NewTraceID()), Sampled: true})
+	buf, err := perfctr.EncodeBatchFull(nil, "node-h", mkBatch(3, 1, 50),
+		perfctr.TraceExt{ID: [16]byte(tracez.NewTraceID()), Sampled: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestShedAnomalyAlwaysKeptAndBundled(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		tc := s.Tracer().Mint()
-		if err := s.IngestTraced("c1", "node-s", mkBatch(1, 1, 10), tc); err == ErrQueueFull {
+		if err := s.IngestFull("c1", "node-s", mkBatch(1, 1, 10), nil, tc); err == ErrQueueFull {
 			shedID = tc.ID
 			break
 		}
@@ -176,8 +176,8 @@ func TestUnsampledQuarantineReconstructed(t *testing.T) {
 	if tc.Sampled {
 		t.Fatal("rate-0 mint sampled")
 	}
-	if err := s.IngestTraced("c1", "node-q", mkBatch(3, 1, 7), tc); err != nil {
-		t.Fatalf("IngestTraced: %v", err)
+	if err := s.IngestFull("c1", "node-q", mkBatch(3, 1, 7), nil, tc); err != nil {
+		t.Fatalf("IngestFull: %v", err)
 	}
 	snap := drainTraces(t, s.Tracer(), 1)
 	if len(snap.Errored) != 1 {

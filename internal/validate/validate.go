@@ -200,20 +200,6 @@ func (r *Report) Coverage() float64 {
 	return float64(r.FoldsDone) / float64(r.FoldsTotal)
 }
 
-// ChecksOK reports whether every conformance check passed (and at least
-// one ran).
-func (r *Report) ChecksOK() bool {
-	if len(r.Checks) == 0 {
-		return false
-	}
-	for _, c := range r.Checks {
-		if !c.OK {
-			return false
-		}
-	}
-	return true
-}
-
 // Subsystem returns the aggregate for one rail, or nil.
 func (r *Report) Subsystem(name string) *SubsystemReport {
 	for i := range r.Subsystems {
